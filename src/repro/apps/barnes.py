@@ -123,9 +123,10 @@ def build_barnes(
         for t in range(n_threads)
     ]
 
-    instance = BarnesInstance(
-        Program([], name="barnes"), tree, pos_x, pos_y, n_bodies
-    )
+    # the threads append to this list, not to ``instance``: a thread closure
+    # holding the instance that holds the program holding the thread is a
+    # cycle that keeps the finished run's memory alive until a full GC
+    interactions: list[int] = []
 
     plan = fence_plan if fence_plan is not None else FencePlan.hand()
 
@@ -168,7 +169,7 @@ def build_barnes(
                         child = yield cell_child.load(c * 4 + k)
                         if child:
                             stack.append(child - 1)
-            instance.interactions.append(visited)
+            interactions.append(visited)
             # spill the accumulated force to private scratch (unflagged,
             # long-latency stores pending at the next fence)
             yield spill.store(ax & ((1 << 62) - 1))
@@ -180,5 +181,7 @@ def build_barnes(
             yield pos_y.store(b, by + (ay >> 8) + 1)
             yield from sc_fence("flush")
 
-    instance.program = Program([thread] * n_threads, name="barnes")
-    return instance
+    return BarnesInstance(
+        Program([thread] * n_threads, name="barnes"), tree, pos_x, pos_y,
+        n_bodies, interactions,
+    )

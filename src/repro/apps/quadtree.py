@@ -82,4 +82,5 @@ def build_quadtree(
         return c
 
     root = build(list(range(len(bodies))), 0.0, 0.0, 1.0, 0)
+    del build   # the recursive closure refers to itself; break that cycle
     return Quadtree(root, children, com, count, bodies_in)

@@ -23,12 +23,11 @@ class Cache:
         self.n_sets = n_lines // assoc
         self.assoc = assoc
         self.name = name
-        # each set is a list of line ids, LRU at index 0, MRU at the end
-        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+        # set index -> line ids, LRU at index 0, MRU at the end; a set's
+        # list is made by its first fill, since most sets of a short run's
+        # caches are never touched and building them all dominated setup
+        self._sets: dict[int, list[int]] = {}
         self._where: dict[int, int] = {}  # line -> set index (presence map)
-
-    def _set_of(self, line: int) -> int:
-        return line % self.n_sets
 
     def contains(self, line: int) -> bool:
         return line in self._where
@@ -48,9 +47,11 @@ class Cache:
 
     def fill(self, line: int) -> int | None:
         """Insert ``line``; returns the evicted line id or None."""
-        si = self._set_of(line)
-        ways = self._sets[si]
-        if line in self._where:
+        si = line % self.n_sets
+        ways = self._sets.get(si)
+        if ways is None:   # first fill into this set: the line is absent
+            ways = self._sets[si] = []
+        elif line in self._where:
             if ways[-1] != line:
                 ways.remove(line)
                 ways.append(line)
@@ -71,7 +72,9 @@ class Cache:
         nothing evicted in between).
         """
         si = line % self.n_sets
-        ways = self._sets[si]
+        ways = self._sets.get(si)
+        if ways is None:
+            ways = self._sets[si] = []
         victim = None
         if len(ways) >= self.assoc:
             victim = ways.pop(0)

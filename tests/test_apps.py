@@ -1,5 +1,7 @@
 """Full-application tests: pst, ptc, barnes, radiosity."""
 
+import gc
+
 import pytest
 
 from repro.apps.barnes import build_barnes
@@ -126,3 +128,30 @@ def test_radiosity_scoped_is_faster():
         cyc[scope] = env.run(inst.program, max_cycles=2_000_000).cycles
         inst.check()
     assert cyc[FenceKind.SET] < cyc[FenceKind.GLOBAL]
+
+
+# ---------------------------------------------------------------- reclamation
+@pytest.mark.parametrize("build,size", [
+    (build_pst, {"n_vertices": 32, "extra_edges": 16}),
+    (build_ptc, {"n_vertices": 16}),
+    (build_barnes, {"n_bodies": 32}),
+    (build_radiosity, {"n_patches": 16}),
+])
+def test_finished_run_is_freed_without_the_cycle_collector(build, size):
+    """A finished run's memory goes back by reference counting alone.
+
+    A reference cycle through the guest program would keep the run's whole
+    functional memory alive until the next full collection, which sweeps
+    that allocate little reach only rarely.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        env = Env(SimConfig())
+        inst = build(env, **size)
+        env.run(inst.program, max_cycles=2_000_000)
+        inst.check()
+        del env, inst
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
